@@ -654,7 +654,7 @@ let trace_report_cmd =
   in
   let doc =
     "summarize a captured trace: top spans by self time, the critical \
-     path, and the per-depth BMC cost table"
+     path, and the per-depth BMC and per-k simple-path search cost tables"
   in
   Cmd.v (Cmd.info "trace-report" ~doc) Term.(const run_trace_report $ trace_file $ top)
 

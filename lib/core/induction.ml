@@ -19,37 +19,17 @@ type cert = {
 
 let new_cert () = { base = None; step = None }
 
-(* chained free-initial-state frames, as in the van Eijk engine *)
-let chain_frames solver net k =
-  let frames = Array.init (k + 1) (fun _ -> Encode.Frame.create solver net) in
-  for i = 0 to k - 1 do
-    List.iter
-      (fun r ->
-        let next_i = Encode.Frame.lit frames.(i) (Net.reg_of net r).Net.next in
-        let s_next = Encode.Frame.state_var frames.(i + 1) r in
-        Solver.add_clause solver [ Solver.negate next_i; s_next ];
-        Solver.add_clause solver [ next_i; Solver.negate s_next ])
-      (Net.regs net)
-  done;
-  frames
-
-let add_distinct solver net frames i j =
-  let diffs =
-    List.map
-      (fun r ->
-        let a = Encode.Frame.state_var frames.(i) r in
-        let b = Encode.Frame.state_var frames.(j) r in
-        let d = Solver.pos (Solver.new_var solver) in
-        Solver.add_clause solver [ Solver.negate d; a; b ];
-        Solver.add_clause solver [ Solver.negate d; Solver.negate a; Solver.negate b ];
-        d)
-      (Net.regs net)
-  in
-  Solver.add_clause solver diffs
-
-(* step case: from a free state, k hit-free steps force step k+1 to be
-   hit-free *)
-let step_holds ~unique ?budget ?cert ?backend net target k =
+(* The step case, one solver per [prove]: from a free state, [k + 1]
+   hit-free frames force the next frame to be hit-free.  Frames are
+   numbered by their distance [m] from the goal frame [m = 0], whose
+   target literal is the one assumption [goal]; frames [m >= 1] are
+   hit-free.  Going from [k - 1] to [k] prepends frame [m = k + 1]:
+   tied to the old front, hit-free and, with [unique], distinct from
+   every later frame.  Clauses are only added, so each solve sees the
+   from-scratch step encoding of its [k] up to variable names, and the
+   single proof log certifies whichever [k] closes the induction.
+   Returns the check for the next [k], to be called with 0, 1, ... *)
+let step_case ~unique ?budget ?cert ?backend net target =
   let solver =
     match backend with
     | Some b -> Backend.instantiate b
@@ -63,30 +43,34 @@ let step_holds ~unique ?budget ?cert ?backend net target k =
         p)
       cert
   in
-  let frames = chain_frames solver net (k + 1) in
-  for i = 0 to k do
-    Solver.add_clause solver [ Solver.negate (Encode.Frame.lit frames.(i) target) ]
-  done;
-  if unique then
-    for i = 0 to k do
-      for j = i + 1 to k + 1 do
-        add_distinct solver net frames i j
-      done
-    done;
-  let goal = Encode.Frame.lit frames.(k + 1) target in
-  match
-    fst
-      (Encode.Sat_obs.solve ~assumptions:[ goal ] ?budget
-         ~span:"induction.solve" solver)
-  with
-  | Solver.Unsat ->
-    Option.iter
-      (fun c ->
-        c.step <- Some (Sat.Proof.events (Option.get proof), goal))
-      cert;
-    `Holds
-  | Solver.Sat -> `Fails
-  | Solver.Unknown why -> `Unknown why
+  let last = Encode.Frame.create solver net in
+  let goal = Encode.Frame.lit last target in
+  let path = ref [ last ] (* front (largest m) first *) in
+  fun k ->
+    let front = Encode.Frame.create solver net in
+    Encode.Frame.link front (List.hd !path);
+    Solver.add_clause solver [ Solver.negate (Encode.Frame.lit front target) ];
+    if unique then begin
+      let regs = Net.regs net in
+      let states f = List.map (Encode.Frame.state_var f) regs in
+      let mine = states front in
+      List.iter (fun f -> Encode.Frame.distinct solver mine (states f)) !path
+    end;
+    path := front :: !path;
+    match
+      fst
+        (Encode.Sat_obs.solve ~assumptions:[ goal ] ?budget
+           ~span:"induction.solve"
+           ~attrs:[ ("k", Obs.Trace.Int k) ]
+           solver)
+    with
+    | Solver.Unsat ->
+      Option.iter
+        (fun c -> c.step <- Some (Sat.Proof.events (Option.get proof), goal))
+        cert;
+      `Holds
+    | Solver.Sat -> `Fails
+    | Solver.Unknown why -> `Unknown why
 
 let prove ?(max_k = 32) ?(unique = true) ?budget ?cert ?backend net ~target =
   if Net.num_latches net > 0 then
@@ -122,6 +106,7 @@ let prove ?(max_k = 32) ?(unique = true) ?budget ?cert ?backend net ~target =
     | Bmc.Unknown { why; _ } -> give_up ~why 0
   end
   else begin
+    let step = lazy (step_case ~unique ?budget ?cert ?backend net tlit) in
     let rec go k =
       if k > max_k then Unknown max_k
       else if expired () then give_up k
@@ -131,7 +116,7 @@ let prove ?(max_k = 32) ?(unique = true) ?budget ?cert ?backend net ~target =
         | Bmc.Hit cex -> Cex cex
         | Bmc.Unknown { why; _ } -> give_up ~why k
         | Bmc.No_hit _ -> (
-          match step_holds ~unique ?budget ?cert ?backend net tlit k with
+          match Lazy.force step k with
           | `Holds -> Proved k
           | `Fails -> go (k + 1)
           | `Unknown why -> give_up ~why k)

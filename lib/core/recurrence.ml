@@ -69,20 +69,6 @@ let target_distances net target =
   done;
   dist
 
-let add_distinct solver lits_i lits_j =
-  let diffs =
-    List.map2
-      (fun a b ->
-        let d = Solver.pos (Solver.new_var solver) in
-        (* d -> (a xor b) *)
-        Solver.add_clause solver [ Solver.negate d; a; b ];
-        Solver.add_clause solver
-          [ Solver.negate d; Solver.negate a; Solver.negate b ];
-        d)
-      lits_i lits_j
-  in
-  Solver.add_clause solver diffs
-
 let gave_up ?(why = Backend.budget_reason) k sat_calls =
   if not (Backend.is_unavailable why) then
     Obs.Budget.note_exhausted "recurrence";
@@ -102,129 +88,99 @@ let mk_solver backend =
   | Some b -> Backend.instantiate b
   | None -> Backend.default_solver ()
 
-let plain ~limit ?budget ?cert ?backend net target regs =
-  let solver = mk_solver backend in
+(* The "first UNSAT k" search over one solver: [grow k] turns the
+   length-[k - 1] encoding into the length-[k] one by adding clauses
+   only, so learnt clauses carry across k and the proof log of the
+   closing Unsat is the certificate. *)
+let search ~limit ?budget ?cert solver grow =
   let proof = attach_proof cert solver in
+  let rec extend k sat_calls =
+    if k > limit then
+      {
+        bound = Sat_bound.huge;
+        path_length = k - 1;
+        sat_calls;
+        exhausted = false;
+        why = None;
+      }
+    else if expired budget then gave_up k sat_calls
+    else begin
+      grow k;
+      match
+        fst
+          (Encode.Sat_obs.solve ?budget ~span:"recurrence.solve"
+             ~attrs:[ ("k", Obs.Trace.Int k) ]
+             solver)
+      with
+      | Solver.Sat -> extend (k + 1) (sat_calls + 1)
+      | Solver.Unsat ->
+        record_refutation cert proof;
+        {
+          bound = Sat_bound.of_int k;
+          path_length = k - 1;
+          sat_calls = sat_calls + 1;
+          exhausted = false;
+          why = None;
+        }
+      | Solver.Unknown why -> gave_up ~why k (sat_calls + 1)
+    end
+  in
+  extend 1 0
+
+let plain ~limit ?budget ?cert ?backend net regs =
+  let solver = mk_solver backend in
   let unroll = Encode.Unroll.create solver net in
-  ignore target;
   let state_lits t =
     List.map (fun r -> Encode.Unroll.lit_at unroll (Lit.make r) t) regs
   in
-  let sat_calls = ref 0 in
-  let rec extend k =
-    if k > limit then
-      {
-        bound = Sat_bound.huge;
-        path_length = k - 1;
-        sat_calls = !sat_calls;
-        exhausted = false;
-        why = None;
-      }
-    else if expired budget then gave_up k !sat_calls
-    else begin
+  search ~limit ?budget ?cert solver (fun k ->
+      let last = state_lits k in
       for i = 0 to k - 1 do
-        add_distinct solver (state_lits i) (state_lits k)
-      done;
-      incr sat_calls;
-      match
-        fst (Encode.Sat_obs.solve ?budget ~span:"recurrence.solve" solver)
-      with
-      | Solver.Sat -> extend (k + 1)
-      | Solver.Unsat ->
-        record_refutation cert proof;
-        {
-          bound = Sat_bound.of_int k;
-          path_length = k - 1;
-          sat_calls = !sat_calls;
-          exhausted = false;
-        why = None;
-        }
-      | Solver.Unknown why -> gave_up ~why k !sat_calls
-    end
-  in
-  extend 1
+        Encode.Frame.distinct solver (state_lits i) last
+      done)
 
 (* Kroening & Strichman's bounded cone of influence [6]: on a path
-   hitting the target at its final frame, an earlier frame [j] only
-   needs to be distinguished from frames before it on the registers
-   that can still reach the target in the remaining [k - j] steps —
-   agreeing on those lets the suffix be spliced forward, shortening
-   the hit.
+   hitting the target at its final frame, a frame only needs to be
+   distinguished from the frames before it on the registers that can
+   still reach the target in the steps left after it — agreeing on
+   those lets the suffix be spliced forward, shortening the hit.
 
-   Two details keep the "first UNSAT k" search sound: the path's start
-   state is FREE (an init-anchored path's suffix is not init-anchored,
-   which would break monotonicity in k), and relevance is measured
-   from the path's end, so a satisfying path of length k+1 contains a
-   satisfying path of length k as its suffix (monotone, hence the
-   first UNSAT closes the search).  The relevance sets depend on [k],
-   so each [k] is encoded afresh. *)
+   Frames are numbered by their distance [m] from the path's end, so
+   frame [m]'s relevance set [{r : dist r <= m}] does not depend on
+   the path length.  The start state is FREE (an init-anchored path's
+   suffix is not init-anchored), so the length-[k] encoding is the
+   length-[k - 1] one with one frame prepended at [m = k]: tied to the
+   old front, and distinct from each later frame [m] on its relevance
+   set.  Nothing is ever retracted, each solve sees the from-scratch
+   length-[k] encoding up to variable names, and a satisfying path of
+   length [k] has one of length [k - 1] as its suffix (monotone),
+   so the first UNSAT closes the search. *)
 let bounded ~limit ?budget ?cert ?backend net target regs =
   let dist = target_distances net target in
-  let sat_calls = ref 0 in
-  let rec extend k =
-    if k > limit then
-      {
-        bound = Sat_bound.huge;
-        path_length = k - 1;
-        sat_calls = !sat_calls;
-        exhausted = false;
-        why = None;
-      }
-    else if expired budget then gave_up k !sat_calls
-    else begin
-      let solver = mk_solver backend in
-      (* each k is a fresh encoding, so a fresh proof; only the final
-         (Unsat) one becomes the certificate *)
-      let proof = attach_proof cert solver in
-      (* free-start chained frames *)
-      let frames =
-        Array.init (k + 1) (fun _ -> Encode.Frame.create solver net)
-      in
-      for i = 0 to k - 1 do
-        List.iter
-          (fun r ->
-            let next_i =
-              Encode.Frame.lit frames.(i) (Net.reg_of net r).Net.next
-            in
-            let s_next = Encode.Frame.state_var frames.(i + 1) r in
-            Solver.add_clause solver [ Solver.negate next_i; s_next ];
-            Solver.add_clause solver [ next_i; Solver.negate s_next ])
-          regs
-      done;
-      let relevant j =
-        List.filter
-          (fun r ->
-            match Hashtbl.find_opt dist r with
-            | Some d -> d <= k - j
-            | None -> false)
-          regs
-      in
-      let lits rs f = List.map (fun r -> Encode.Frame.state_var frames.(f) r) rs in
-      for j = 1 to k do
-        let rs = relevant j in
-        if rs <> [] then
-          for i = 0 to j - 1 do
-            add_distinct solver (lits rs i) (lits rs j)
-          done
-      done;
-      incr sat_calls;
-      match
-        fst (Encode.Sat_obs.solve ?budget ~span:"recurrence.solve" solver)
-      with
-      | Solver.Sat -> extend (k + 1)
-      | Solver.Unsat ->
-        record_refutation cert proof;
-        {
-          bound = Sat_bound.of_int k;
-          path_length = k - 1;
-          sat_calls = !sat_calls;
-          exhausted = false;
-        why = None;
-        }
-      | Solver.Unknown why -> gave_up ~why k !sat_calls
-    end
+  let solver = mk_solver backend in
+  let frame m =
+    let f = Encode.Frame.create solver net in
+    let relevant =
+      List.filter
+        (fun r ->
+          match Hashtbl.find_opt dist r with Some d -> d <= m | None -> false)
+        regs
+    in
+    (f, relevant)
   in
-  extend 1
+  (* the path, front (largest m) first *)
+  let path = ref [ frame 0 ] in
+  search ~limit ?budget ?cert solver (fun k ->
+      let ((front, _) as fresh) = frame k in
+      Encode.Frame.link front (fst (List.hd !path));
+      List.iter
+        (fun (f, rs) ->
+          if rs <> [] then
+            Encode.Frame.distinct solver
+              (List.map (Encode.Frame.state_var front) rs)
+              (List.map (Encode.Frame.state_var f) rs))
+        !path;
+      path := fresh :: !path)
 
 let compute ?(limit = 64) ?(bounded_coi = false) ?budget ?cert ?backend net target =
   Obs.Stats.time "recurrence.compute" (fun () ->
@@ -241,12 +197,12 @@ let compute ?(limit = 64) ?(bounded_coi = false) ?budget ?cert ?backend net targ
             path_length = 0;
             sat_calls = 0;
             exhausted = false;
-        why = None;
+            why = None;
           }
         end
         else if bounded_coi then
           bounded ~limit ?budget ?cert ?backend net target regs
-        else plain ~limit ?budget ?cert ?backend net target regs
+        else plain ~limit ?budget ?cert ?backend net regs
       in
       Obs.Stats.count "recurrence.sat_calls" result.sat_calls;
       result)

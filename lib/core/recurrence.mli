@@ -63,5 +63,5 @@ val compute :
     dramatically — a deep pipeline drops from an exponential search to
     a handful of frames.  This variant ranges over free start states
     (init-anchoring would break the monotonicity that lets the first
-    UNSAT close the search) and re-encodes per step instead of solving
-    incrementally. *)
+    UNSAT close the search).  Both variants keep one solver per call
+    and only add clauses as the path grows. *)

@@ -46,3 +46,26 @@ let lit = slit
 let state_var t v =
   if not (Net.is_state t.net v) then invalid_arg "Frame.state_var";
   Solver.pos (var t v)
+
+let link pre post =
+  List.iter
+    (fun r ->
+      let next = lit pre (Net.reg_of pre.net r).Net.next in
+      let s = state_var post r in
+      Solver.add_clause pre.solver [ Solver.negate next; s ];
+      Solver.add_clause pre.solver [ next; Solver.negate s ])
+    (Net.regs pre.net)
+
+let distinct solver a b =
+  let diffs =
+    List.map2
+      (fun x y ->
+        (* d -> (x xor y) *)
+        let d = Solver.pos (Solver.new_var solver) in
+        Solver.add_clause solver [ Solver.negate d; x; y ];
+        Solver.add_clause solver
+          [ Solver.negate d; Solver.negate x; Solver.negate y ];
+        d)
+      a b
+  in
+  Solver.add_clause solver diffs

@@ -38,17 +38,18 @@ let result_name = function
   | Solver.Unsat -> "unsat"
   | Solver.Unknown _ -> "unknown"
 
-(* [solve ?assumptions ?budget ?span solver] is [Backend.solve] plus
-   recording: the wall-clock time goes to [span] (default "sat.solve")
-   and the statistic deltas to the "sat.*" counters; when a trace is
-   active the call also emits one span (same name) whose attributes
-   carry the per-call deltas and the problem size.  A [budget]
+(* [solve ?assumptions ?budget ?span ?attrs solver] is [Backend.solve]
+   plus recording: the wall-clock time goes to [span] (default
+   "sat.solve") and the statistic deltas to the "sat.*" counters; when
+   a trace is active the call also emits one span (same name) whose
+   attributes are [attrs] (the caller's, e.g. a search depth) followed
+   by the per-call deltas and the problem size.  A [budget]
    translates to the backend's per-call allowances (conflicts,
    propagations, BDD nodes); an [Unknown] result is counted both here
    and against the budget layer — except backend-unavailable Unknowns,
    which are a configuration condition, not an exhausted allowance.
    Returns the result and the elapsed seconds. *)
-let solve ?assumptions ?budget ?(span = "sat.solve") solver =
+let solve ?assumptions ?budget ?(span = "sat.solve") ?attrs solver =
   let s0 = Backend.stats solver in
   (* inprocessing passes show up as their own span nested under the
      solve span, so trace-report attributes time to "sat.simplify" *)
@@ -76,7 +77,7 @@ let solve ?assumptions ?budget ?(span = "sat.solve") solver =
           match should_stop with Some f -> f () | None -> false)
   in
   let result, dt =
-    Obs.Trace.with_span_args span (fun () ->
+    Obs.Trace.with_span_args ?args:attrs span (fun () ->
         let r =
           Obs.Stats.timed span (fun () ->
               Backend.solve ?assumptions ?max_conflicts ?max_propagations

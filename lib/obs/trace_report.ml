@@ -175,7 +175,7 @@ let by_name roots =
   Hashtbl.fold (fun name a acc -> (name, a) :: acc) table []
   |> List.sort (fun (_, a) (_, b) -> compare b.self a.self)
 
-(* ----- per-depth BMC table ----- *)
+(* ----- per-depth cost tables (BMC depths, simple-path search k) ----- *)
 
 type depth_row = {
   depth : int;
@@ -191,12 +191,12 @@ let int_arg name (e : Trace.event) =
   | Some (Trace.Int n) -> Some n
   | _ -> None
 
-let depth_table events =
+let depth_table ?(span = "bmc.depth") ?(key = "depth") events =
   let rows : (int, depth_row ref) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun (e : Trace.event) ->
-      if e.Trace.kind = Trace.Span && String.equal e.Trace.name "bmc.depth" then
-        match int_arg "depth" e with
+      if e.Trace.kind = Trace.Span && String.equal e.Trace.name span then
+        match int_arg key e with
         | None -> ()
         | Some depth ->
           let r =
@@ -313,15 +313,23 @@ let pp ?(top = 12) ppf events =
             (ms r.c_busy_us)
             (ms (r.c_last_us -. r.c_first_us)))
         rows);
-    match depth_table events with
-    | [] -> ()
-    | rows ->
-      Format.fprintf ppf "@.per-depth BMC cost:@.";
-      Format.fprintf ppf "  %6s %6s %12s %12s %12s %14s@." "depth" "calls"
-        "total(ms)" "max(ms)" "conflicts" "propagations";
-      List.iter
-        (fun r ->
-          Format.fprintf ppf "  %6d %6d %12.3f %12.3f %12d %14d@." r.depth
-            r.calls (ms r.total_us) (ms r.max_us) r.conflicts r.propagations)
-        rows
+    List.iter
+      (fun (title, span, key) ->
+        match depth_table ~span ~key events with
+        | [] -> ()
+        | rows ->
+          Format.fprintf ppf "@.%s:@." title;
+          Format.fprintf ppf "  %6s %6s %12s %12s %12s %14s@." key "calls"
+            "total(ms)" "max(ms)" "conflicts" "propagations";
+          List.iter
+            (fun r ->
+              Format.fprintf ppf "  %6d %6d %12.3f %12.3f %12d %14d@." r.depth
+                r.calls (ms r.total_us) (ms r.max_us) r.conflicts
+                r.propagations)
+            rows)
+      [
+        ("per-depth BMC cost", "bmc.depth", "depth");
+        ("per-k recurrence cost", "recurrence.solve", "k");
+        ("per-k induction step cost", "induction.solve", "k");
+      ]
   end

@@ -10,7 +10,10 @@
       correlation-id attribute when present (serve traces and flight
       recorder dumps stamp every span of a request), and
     - the per-depth BMC cost table, aggregated from ["bmc.depth"]
-      spans and their [depth]/[conflicts]/[propagations] attributes.
+      spans and their [depth]/[conflicts]/[propagations] attributes,
+      and likewise the per-[k] cost of the recurrence and induction
+      step searches (["recurrence.solve"] / ["induction.solve"] spans
+      and their [k] attribute).
 
     Pure presentation over {!Trace.event} lists; no global state. *)
 
@@ -45,12 +48,14 @@ type depth_row = {
   propagations : int;
 }
 
-val depth_table : Trace.event list -> depth_row list
-(** Per-depth BMC cost, sorted by depth; empty when the trace has no
-    ["bmc.depth"] spans. *)
+val depth_table :
+  ?span:string -> ?key:string -> Trace.event list -> depth_row list
+(** Per-depth cost of the [span] spans (default ["bmc.depth"]) keyed
+    by their integer [key] attribute (default ["depth"]), sorted by
+    it; empty when the trace has no such spans. *)
 
 val pp : ?top:int -> Format.formatter -> Trace.event list -> unit
 (** The full report: summary line, top-[top] (default 12) names by
     self time, critical path, per-request view (when correlation ids
-    are present), per-depth table.  An empty event list renders a
-    single clear "no events" line instead of empty tables. *)
+    are present), per-depth and per-[k] tables.  An empty event list
+    renders a single clear "no events" line instead of empty tables. *)

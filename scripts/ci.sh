@@ -423,4 +423,15 @@ timeout 60 dune exec bench/main.exe -- --baseline "$tmpdir/bench.json" \
   || { echo "ci: self-baseline regressed (FAIL)"; exit 1; }
 echo "ci: self-baseline ok"
 
+# Held-out ladder check: certified Engine.verify over the fuzz-bred
+# ladder designs of a seed the benchmark does not time (seed 2).  Every
+# verdict is compared with exact reachability (Core.Symbolic), and any
+# mismatch exits non-zero — the one stage that checks engine verdicts
+# against an independent reference on bred designs.
+timeout 300 python3 perfbench/run.py --workload ladder --seed 2 --seconds 5 \
+  --trace 0 > "$tmpdir/ladder.out" \
+  || { tail -3 "$tmpdir/ladder.out"; \
+       echo "ci: ladder verdicts disagree with Core.Symbolic (FAIL)"; exit 1; }
+echo "ci: held-out ladder check ok"
+
 echo "ci: all green"

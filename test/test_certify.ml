@@ -144,6 +144,79 @@ let test_check_induction () =
       (Result.is_error (Certify.check_induction ~k cert)))
   | _ -> Alcotest.fail "expected an induction proof"
 
+(* A search over one solver logs every k into one proof: the input
+   clauses that grow the path to k, then the lemmas of the k-th solve.
+   Cutting off the last such block leaves the log as it stood when the
+   previous k was answered Sat, which no sound checker can accept.
+   (Dropping only the final empty clause is not enough to break a DRUP
+   certificate: the unit lemma before it already propagates to a
+   conflict.) *)
+let drop_closing_k events =
+  let rec lemmas = function
+    | (Sat.Proof.Add _ | Sat.Proof.Delete _) :: rest -> lemmas rest
+    | rest -> inputs rest
+  and inputs = function
+    | Sat.Proof.Input _ :: rest -> inputs rest
+    | rest -> rest
+  in
+  let kept = List.rev (lemmas (List.rev events)) in
+  Helpers.check_bool "closing k cut off" true
+    (List.length kept < List.length events);
+  kept
+
+let test_check_recurrence () =
+  (* the bounded-COI search over a 4-stage pipeline runs several k on
+     one solver; its closing Unsat certifies the bound *)
+  let net = Net.create () in
+  let a = Net.add_input net "a" in
+  let p = Workload.Gen.pipeline net ~name:"p" ~stages:4 ~data:a in
+  Net.add_target net "t" p.Workload.Gen.out;
+  let cert = Core.Recurrence.new_cert () in
+  let r =
+    Core.Recurrence.compute ~bounded_coi:true ~cert net
+      (List.assoc "t" (Net.targets net))
+  in
+  Helpers.check_bool "closes at k >= 3" true (r.Core.Recurrence.bound >= 3);
+  (match Certify.check_recurrence cert with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "genuine recurrence rejected: %s" msg);
+  match cert.Core.Recurrence.evidence with
+  | Some (Core.Recurrence.Refutation events) ->
+    Helpers.check_bool "ends in the empty clause" true
+      (List.nth events (List.length events - 1) = Sat.Proof.Add [||]);
+    let cut = drop_closing_k events in
+    Helpers.check_bool "cut refutation rejected" true
+      (Result.is_error
+         (Certify.check_recurrence
+            {
+              Core.Recurrence.evidence =
+                Some (Core.Recurrence.Refutation cut);
+            }))
+  | _ -> Alcotest.fail "expected a refutation"
+
+let test_check_induction_deep () =
+  (* two tokens in a 5-ring: the step case needs uniqueness and closes
+     only after several k on the one step solver *)
+  let net = Net.create () in
+  let ring = Workload.Gen.ring net ~name:"r" ~length:5 in
+  (match ring.Workload.Gen.regs with
+  | a :: b :: _ -> Net.add_target net "t" (Net.add_and net a b)
+  | _ -> assert false);
+  let cert = Core.Induction.new_cert () in
+  match Core.Induction.prove ~cert net ~target:"t" with
+  | Core.Induction.Proved k -> (
+    Helpers.check_bool "k >= 2" true (k >= 2);
+    (match Certify.check_induction ~k cert with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "genuine induction rejected: %s" msg);
+    match cert.Core.Induction.step with
+    | Some (events, goal) ->
+      cert.Core.Induction.step <- Some (drop_closing_k events, goal);
+      Helpers.check_bool "cut step rejected" true
+        (Result.is_error (Certify.check_induction ~k cert))
+    | None -> Alcotest.fail "expected a step certificate")
+  | _ -> Alcotest.fail "expected an induction proof"
+
 (* certification is read-only: it must never change a verdict, only
    (on corrupt answers, see Test_chaos) withhold one *)
 let prop_certify_preserves_verdicts =
@@ -181,5 +254,8 @@ let suite =
     Alcotest.test_case "check_no_hit" `Quick test_check_no_hit;
     Alcotest.test_case "check_translation" `Quick test_check_translation;
     Alcotest.test_case "check_induction" `Quick test_check_induction;
+    Alcotest.test_case "check_recurrence" `Quick test_check_recurrence;
+    Alcotest.test_case "check_induction, k >= 2" `Quick
+      test_check_induction_deep;
     prop_certify_preserves_verdicts;
   ]

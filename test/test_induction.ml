@@ -107,3 +107,141 @@ let suite =
     Alcotest.test_case "gives up" `Quick test_gives_up;
     prop_agrees_with_exact;
   ]
+
+(* ----- differential: incremental step case vs per-k from scratch -----
+
+   The oracle is the step case as it was encoded before the search kept
+   one solver: for every k a fresh solver with frames 0..k+1 chained
+   from a free state, frames 0..k hit-free, all pairs distinct under
+   [unique], and the target at frame k+1 as the assumption.  The base
+   case is the library's own per-k BMC run, so any disagreement is the
+   step encoding's. *)
+
+module Solver = Backend
+
+let oracle_step ~unique net target k =
+  let solver = Solver.create () in
+  let frames = Array.init (k + 2) (fun _ -> Encode.Frame.create solver net) in
+  let regs = Net.regs net in
+  for i = 0 to k do
+    List.iter
+      (fun r ->
+        let n = Encode.Frame.lit frames.(i) (Net.reg_of net r).Net.next in
+        let s = Encode.Frame.state_var frames.(i + 1) r in
+        Solver.add_clause solver [ Solver.negate n; s ];
+        Solver.add_clause solver [ n; Solver.negate s ])
+      regs;
+    Solver.add_clause solver
+      [ Solver.negate (Encode.Frame.lit frames.(i) target) ]
+  done;
+  if unique then
+    for i = 0 to k do
+      for j = i + 1 to k + 1 do
+        Solver.add_clause solver
+          (List.map
+             (fun r ->
+               let a = Encode.Frame.state_var frames.(i) r in
+               let b = Encode.Frame.state_var frames.(j) r in
+               let d = Solver.pos (Solver.new_var solver) in
+               Solver.add_clause solver [ Solver.negate d; a; b ];
+               Solver.add_clause solver
+                 [ Solver.negate d; Solver.negate a; Solver.negate b ];
+               d)
+             regs)
+      done
+    done;
+  let goal = Encode.Frame.lit frames.(k + 1) target in
+  Solver.solve ~assumptions:[ goal ] solver = Solver.Unsat
+
+let oracle_prove ~max_k ~unique net tlit =
+  let rec go k =
+    if k > max_k then Core.Induction.Unknown max_k
+    else
+      match Bmc.check_lit net tlit ~depth:k with
+      | Bmc.Hit cex -> Core.Induction.Cex cex
+      | Bmc.Unknown { why; _ } -> Core.Induction.Exhausted { k; why }
+      | Bmc.No_hit _ ->
+        if Net.regs net = [] then Core.Induction.Proved 0
+        else if oracle_step ~unique net tlit k then Core.Induction.Proved k
+        else go (k + 1)
+  in
+  go 0
+
+let same_outcome a b =
+  match (a, b) with
+  | Core.Induction.Proved k1, Core.Induction.Proved k2 -> k1 = k2
+  | Core.Induction.Unknown k1, Core.Induction.Unknown k2 -> k1 = k2
+  | Core.Induction.Cex c1, Core.Induction.Cex c2 -> c1 = c2
+  | _ -> false
+
+let agrees_with_oracle ~max_k net t =
+  let name = Printf.sprintf "p%d" (List.length (Net.targets net)) in
+  Net.add_target net name t;
+  List.for_all
+    (fun unique ->
+      same_outcome
+        (Core.Induction.prove ~max_k ~unique net ~target:name)
+        (oracle_prove ~max_k ~unique net t))
+    [ true; false ]
+
+(* random targets mostly hit at depth 0 or 1; conjunctions of register
+   literals that survive depth 1 reach the step case at larger k *)
+let quiet_targets net =
+  let lits =
+    List.concat_map
+      (fun r -> [ Lit.make r; Lit.neg (Lit.make r) ])
+      (Net.regs net)
+  in
+  List.concat_map (fun a -> List.map (fun b -> Net.add_and net a b) lits) lits
+  |> List.filter (fun t ->
+         (not (Lit.is_const t))
+         &&
+         match Bmc.check_lit net t ~depth:1 with
+         | Bmc.No_hit _ -> true
+         | Bmc.Hit _ | Bmc.Unknown _ -> false)
+  |> List.filteri (fun i _ -> i mod 7 = 0)
+
+let prop_matches_oracle =
+  Helpers.qtest ~count:60 "induction: incremental step = per-k from scratch"
+    QCheck.(pair (int_bound 1000000) (int_range 4 6))
+    (fun (seed, regs) ->
+      let net, t =
+        Helpers.rand_net_with_target seed ~inputs:2 ~regs ~gates:(2 * regs)
+      in
+      List.for_all (agrees_with_oracle ~max_k:10 net) (t :: quiet_targets net))
+
+let test_matches_oracle_structured () =
+  let pipeline stages data_of =
+    let net = Net.create () in
+    let data = data_of net in
+    (net, (Workload.Gen.pipeline net ~name:"p" ~stages ~data).Workload.Gen.out)
+  in
+  List.iter
+    (fun n ->
+      (* free data: hit at depth n; constant data: proved near k = n;
+         a ring's two tokens: needs uniqueness *)
+      let free = pipeline n (fun net -> Net.add_input net "a") in
+      let stuck = pipeline n (fun _ -> Lit.false_) in
+      let ring =
+        let net = Net.create () in
+        let r = Workload.Gen.ring net ~name:"r" ~length:(n + 1) in
+        match r.Workload.Gen.regs with
+        | x :: y :: _ -> (net, Net.add_and net x y)
+        | _ -> assert false
+      in
+      List.iter
+        (fun (what, (net, t)) ->
+          Helpers.check_bool
+            (Printf.sprintf "%s %d agrees" what n)
+            true
+            (agrees_with_oracle ~max_k:8 net t))
+        [ ("free pipeline", free); ("stuck pipeline", stuck); ("ring", ring) ])
+    [ 1; 2; 3; 4; 5 ]
+
+let suite =
+  suite
+  @ [
+      prop_matches_oracle;
+      Alcotest.test_case "oracle on pipelines and rings" `Quick
+        test_matches_oracle_structured;
+    ]

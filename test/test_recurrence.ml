@@ -132,3 +132,143 @@ let suite =
       prop_bounded_coi_sound;
       prop_bounded_coi_finite_on_pipelines;
     ]
+
+(* ----- differential: incremental search vs per-k from-scratch encoding -----
+
+   The oracle is the encoding the search used before it kept one
+   solver: for every k a fresh solver, frames 0..k chained from a free
+   start, and frame j distinct from every earlier frame on the
+   registers within k - j dependency steps of the target.  Without a
+   budget both must agree exactly on the bound, the path and the
+   number of SAT calls. *)
+
+module Coi = Netlist.Coi
+module Solver = Backend
+
+(* shortest register distances to the target, by fixpoint iteration
+   (the library computes them breadth-first) *)
+let oracle_distances net target =
+  let regs = Net.regs net in
+  let reads l =
+    let cone = Coi.combinational net [ l ] in
+    List.filter (fun r -> cone.(r)) regs
+  in
+  let dist = Hashtbl.create 16 in
+  List.iter (fun r -> Hashtbl.replace dist r 0) (reads target);
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun r' ->
+        match Hashtbl.find_opt dist r' with
+        | None -> ()
+        | Some d ->
+          List.iter
+            (fun r ->
+              match Hashtbl.find_opt dist r with
+              | Some e when e <= d + 1 -> ()
+              | _ ->
+                Hashtbl.replace dist r (d + 1);
+                changed := true)
+            (reads (Net.reg_of net r').Net.next))
+      regs
+  done;
+  dist
+
+let oracle_distinct solver xs ys =
+  Solver.add_clause solver
+    (List.map2
+       (fun a b ->
+         let d = Solver.pos (Solver.new_var solver) in
+         Solver.add_clause solver [ Solver.negate d; a; b ];
+         Solver.add_clause solver
+           [ Solver.negate d; Solver.negate a; Solver.negate b ];
+         d)
+       xs ys)
+
+(* (bound, path_length, sat_calls) of the from-scratch search *)
+let oracle_bounded ~limit net target =
+  let cone = Transform.Rebuild.copy ~roots:[ target ] net in
+  let target = Transform.Rebuild.map_lit cone target in
+  let net = cone.Transform.Rebuild.net in
+  let regs = Net.regs net in
+  if regs = [] then (1, 0, 0)
+  else begin
+    let dist = oracle_distances net target in
+    let rec extend k =
+      if k > limit then (Core.Sat_bound.huge, k - 1, limit)
+      else begin
+        let solver = Solver.create () in
+        let frames =
+          Array.init (k + 1) (fun _ -> Encode.Frame.create solver net)
+        in
+        for i = 0 to k - 1 do
+          List.iter
+            (fun r ->
+              let n = Encode.Frame.lit frames.(i) (Net.reg_of net r).Net.next in
+              let s = Encode.Frame.state_var frames.(i + 1) r in
+              Solver.add_clause solver [ Solver.negate n; s ];
+              Solver.add_clause solver [ n; Solver.negate s ])
+            regs
+        done;
+        for j = 1 to k do
+          let rs =
+            List.filter
+              (fun r ->
+                match Hashtbl.find_opt dist r with
+                | Some d -> d <= k - j
+                | None -> false)
+              regs
+          in
+          let lits f = List.map (Encode.Frame.state_var frames.(f)) rs in
+          if rs <> [] then
+            for i = 0 to j - 1 do
+              oracle_distinct solver (lits i) (lits j)
+            done
+        done;
+        match Solver.solve solver with
+        | Solver.Sat -> extend (k + 1)
+        | Solver.Unsat -> (k, k - 1, k)
+        | Solver.Unknown why -> Alcotest.failf "unbudgeted oracle: %s" why
+      end
+    in
+    extend 1
+  end
+
+let agrees_with_oracle ~limit net t =
+  let r = Core.Recurrence.compute ~limit ~bounded_coi:true net t in
+  let bound, path_length, sat_calls = oracle_bounded ~limit net t in
+  (not r.Core.Recurrence.exhausted)
+  && r.Core.Recurrence.bound = bound
+  && r.Core.Recurrence.path_length = path_length
+  && r.Core.Recurrence.sat_calls = sat_calls
+
+let prop_bounded_matches_oracle =
+  Helpers.qtest ~count:60 "bounded COI: incremental = per-k from scratch"
+    QCheck.(pair (int_bound 1000000) (int_range 4 6))
+    (fun (seed, regs) ->
+      let net, t =
+        Helpers.rand_net_with_target seed ~inputs:2 ~regs ~gates:(2 * regs)
+      in
+      agrees_with_oracle ~limit:20 net t)
+
+let test_bounded_matches_oracle_pipelines () =
+  List.iter
+    (fun stages ->
+      let net = Net.create () in
+      let a = Net.add_input net "a" in
+      let p = Workload.Gen.pipeline net ~name:"p" ~stages ~data:a in
+      Net.add_target net "t" p.Workload.Gen.out;
+      Helpers.check_bool
+        (Printf.sprintf "pipeline%d agrees" stages)
+        true
+        (agrees_with_oracle ~limit:20 net (List.assoc "t" (Net.targets net))))
+    [ 1; 2; 3; 4; 6; 8 ]
+
+let suite =
+  suite
+  @ [
+      prop_bounded_matches_oracle;
+      Alcotest.test_case "bounded COI oracle on pipelines" `Quick
+        test_bounded_matches_oracle_pipelines;
+    ]

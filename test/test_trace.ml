@@ -202,6 +202,52 @@ let test_depth_table () =
     Helpers.check_int "depth 1 propagations sum" 50 d1.Trace_report.propagations
   | l -> Alcotest.fail (Printf.sprintf "expected 2 rows, got %d" (List.length l))
 
+let test_per_k_tables () =
+  (* one bounded-COI search and one k-induction run: every solve span
+     carries its k, so one search reads back as one row per k *)
+  let net = Netlist.Net.create () in
+  let a = Netlist.Net.add_input net "a" in
+  let p = Workload.Gen.pipeline net ~name:"p" ~stages:4 ~data:a in
+  Netlist.Net.add_target net "t" p.Workload.Gen.out;
+  let ring = Workload.Gen.ring net ~name:"r" ~length:4 in
+  (match ring.Workload.Gen.regs with
+  | x :: y :: _ ->
+    Netlist.Net.add_target net "two" (Netlist.Net.add_and net x y)
+  | _ -> assert false);
+  let events, r, proved =
+    with_tmp (fun path ->
+        Trace.start ~format:Trace.Jsonl path;
+        let r =
+          Core.Recurrence.compute ~bounded_coi:true net
+            (List.assoc "t" (Netlist.Net.targets net))
+        in
+        let proved = Core.Induction.prove net ~target:"two" in
+        Trace.stop ();
+        (Trace.read_file path, r, proved))
+  in
+  let ks span =
+    List.map
+      (fun row ->
+        Helpers.check_int "one solve per k" 1 row.Trace_report.calls;
+        row.Trace_report.depth)
+      (Trace_report.depth_table ~span ~key:"k" events)
+  in
+  Helpers.check
+    Alcotest.(list int)
+    "recurrence k = 1 .. bound"
+    (List.init r.Core.Recurrence.sat_calls (fun i -> i + 1))
+    (ks "recurrence.solve");
+  (match proved with
+  | Core.Induction.Proved k ->
+    Helpers.check
+      Alcotest.(list int)
+      "induction k = 0 .. k" (List.init (k + 1) Fun.id) (ks "induction.solve")
+  | _ -> Alcotest.fail "two tokens are unreachable");
+  let text = Format.asprintf "%a" (Trace_report.pp ~top:5) events in
+  Helpers.check_bool "per-k table" true (contains text "per-k recurrence cost");
+  Helpers.check_bool "per-k step table" true
+    (contains text "per-k induction step cost")
+
 let test_multi_domain_capture () =
   (* spans emitted from worker domains land in per-domain rings and
      carry a "domain" argument; flush before the domain parks so stop
@@ -376,6 +422,7 @@ let suite =
       test_unwritable_sink_is_nonfatal;
     Alcotest.test_case "forest self time" `Quick test_forest_self_time;
     Alcotest.test_case "depth table" `Quick test_depth_table;
+    Alcotest.test_case "per-k search tables" `Quick test_per_k_tables;
     Alcotest.test_case "multi-domain capture" `Quick
       test_multi_domain_capture;
     Alcotest.test_case "corr attr attaches under with_corr" `Quick
