@@ -52,10 +52,22 @@ let result_name = function
 let solve ?assumptions ?budget ?(span = "sat.solve") ?attrs solver =
   let s0 = Backend.stats solver in
   (* inprocessing passes show up as their own span nested under the
-     solve span, so trace-report attributes time to "sat.simplify" *)
+     solve span, so trace-report attributes time to "sat.simplify";
+     its attributes say when the pass triggered and what it removed *)
   Backend.set_simplify_wrapper solver (fun pass ->
-      Obs.Trace.with_span "sat.simplify" (fun () ->
-          Obs.Stats.time "sat.simplify" pass));
+      let b = Backend.stats solver in
+      Obs.Trace.with_span_args "sat.simplify" (fun () ->
+          Obs.Stats.time "sat.simplify" pass;
+          let a = Backend.stats solver in
+          ( (),
+            Obs.Trace.
+              [
+                ("conflicts", Int b.Backend.conflicts);
+                ("clauses_before", Int b.Backend.clauses);
+                ("clauses_after", Int a.Backend.clauses);
+                ( "eliminated_vars",
+                  Int (a.Backend.eliminated - b.Backend.eliminated) );
+              ] )));
   let max_conflicts = Option.bind budget Obs.Budget.conflicts in
   let max_propagations = Option.bind budget Obs.Budget.propagations in
   let max_nodes = Option.bind budget Obs.Budget.bdd_nodes in

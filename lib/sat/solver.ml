@@ -780,14 +780,21 @@ let run_simplify s =
     s.clauses_since_simplify <- 0
   end
 
-(* Run a pass when the conflict schedule or clause-database growth says
-   so; called at solve entry and restart boundaries (decision level 0).
-   The wrapper hook lets the observability layer time the pass without
-   lib/sat depending on lib/obs. *)
+(* A solver runs no pass before it has searched [simplify_warmup]
+   conflicts of its own: most solvers of the strategy ladder are done
+   sooner, and a pass on them is never paid back.  From then on a pass
+   comes on the conflict schedule or once the clause database has grown
+   by a third (fresh BMC frames, simplified before search learns over
+   them).  Called at solve entry and restart boundaries (decision level
+   0); the wrapper hook lets the observability layer time the pass
+   without lib/sat depending on lib/obs. *)
+let simplify_warmup = 500
+
 let maybe_simplify s =
   if
     s.simplify_enabled && s.ok
     && decision_level s = 0
+    && s.conflicts >= simplify_warmup
     && (s.conflicts >= s.next_simplify
        || s.clauses_since_simplify > (Vec.size s.clauses / 3) + 256)
   then begin

@@ -157,6 +157,11 @@ val inprocess_default : unit -> bool
 val set_inprocess : t -> bool -> unit
 (** Enable/disable scheduled inprocessing for this solver instance. *)
 
+val simplify_warmup : int
+(** Conflicts a solver must have searched before its first scheduled
+    pass; after that, passes follow the conflict schedule and the
+    growth of the clause database. *)
+
 val set_simplify_config : t -> Simplify.config -> unit
 
 val simplify_now : t -> unit

@@ -164,6 +164,29 @@ timeout 60 dune exec bench/main.exe -- --baseline "$tmpdir/portfolio.json" \
   || { echo "ci: portfolio snapshot not baseline-compatible (FAIL)"; exit 1; }
 echo "ci: portfolio bench ok"
 
+# Held-out ladder check: certified Engine.verify over the fuzz-bred
+# ladder designs of a seed the benchmark does not time (seed 2).  Every
+# verdict is compared with exact reachability (Core.Symbolic), and any
+# mismatch exits non-zero — the one stage that checks engine verdicts
+# against an independent reference on bred designs.  This stage and the
+# next check verdicts, not timings, so they run ahead of the timing
+# snapshot gates: a slow host cannot keep them from running.
+timeout 300 python3 perfbench/run.py --workload ladder --seed 2 --seconds 5 \
+  --trace 0 > "$tmpdir/ladder.out" \
+  || { tail -3 "$tmpdir/ladder.out"; \
+       echo "ci: ladder verdicts disagree with Core.Symbolic (FAIL)"; exit 1; }
+echo "ci: held-out ladder check ok"
+
+# Held-out deep-BMC check: one long-lived incremental solver per design,
+# the solvers that search long enough to run scheduled inprocessing
+# passes.  The program checks every verdict and exits non-zero on a
+# mismatch or an unstable counter.
+timeout 300 python3 perfbench/run.py --workload bmc-deep --seed 2 --seconds 5 \
+  --trace 0 > "$tmpdir/bmc-deep.out" \
+  || { tail -3 "$tmpdir/bmc-deep.out"; \
+       echo "ci: bmc-deep verdicts or counters wrong (FAIL)"; exit 1; }
+echo "ci: held-out bmc-deep check ok"
+
 # BMC inprocessing gate: run the BMC bench workload (inprocessing on
 # vs off per design) against the committed snapshot.  The threshold is
 # generous — CI machines vary — but a gross slowdown in the solver hot
@@ -422,16 +445,5 @@ timeout 60 dune exec bench/main.exe -- --baseline "$tmpdir/bench.json" \
   --against "$tmpdir/bench.json" --fail-on-regress 0.1 > /dev/null \
   || { echo "ci: self-baseline regressed (FAIL)"; exit 1; }
 echo "ci: self-baseline ok"
-
-# Held-out ladder check: certified Engine.verify over the fuzz-bred
-# ladder designs of a seed the benchmark does not time (seed 2).  Every
-# verdict is compared with exact reachability (Core.Symbolic), and any
-# mismatch exits non-zero — the one stage that checks engine verdicts
-# against an independent reference on bred designs.
-timeout 300 python3 perfbench/run.py --workload ladder --seed 2 --seconds 5 \
-  --trace 0 > "$tmpdir/ladder.out" \
-  || { tail -3 "$tmpdir/ladder.out"; \
-       echo "ci: ladder verdicts disagree with Core.Symbolic (FAIL)"; exit 1; }
-echo "ci: held-out ladder check ok"
 
 echo "ci: all green"

@@ -165,13 +165,14 @@ let php s pigeons holes =
 let test_drup_from_simplified_run () =
   (* a full unsat run with inprocessing on: every simplification step
      (subsumption deletes, BVE resolvents, probe units) must leave the
-     proof checkable *)
+     proof checkable.  php(8,7) searches well past the warmup, so the
+     scheduled passes run mid-search. *)
   let s = Solver.create () in
   let p = Proof.create () in
   Solver.set_proof s p;
   Solver.set_inprocess s true;
-  php s 6 5;
-  Helpers.check_bool "php(6,5) unsat" true (Solver.solve s = Solver.Unsat);
+  php s 8 7;
+  Helpers.check_bool "php(8,7) unsat" true (Solver.solve s = Solver.Unsat);
   Helpers.check_bool "inprocessing ran" true (Solver.num_simplifies s >= 1);
   Helpers.check_bool "variables eliminated" true (Solver.num_eliminated s >= 1);
   ok_or_fail "drup of simplified run" (Drup.check (Proof.events p))
@@ -216,6 +217,8 @@ let test_chaos_flip_to_sat_caught () =
       let s = Solver.create () in
       Solver.set_inprocess s true;
       php s 4 3;
+      Solver.simplify_now s;
+      Helpers.check_bool "inprocessing ran" true (Solver.num_simplifies s >= 1);
       (match Solver.solve s with
       | Solver.Sat -> ()
       | _ -> Alcotest.fail "fault should have reported Sat");
@@ -285,23 +288,156 @@ let prop_assumptions_hit_eliminated =
       | Solver.Sat, None | Solver.Unsat, Some _ -> false
       | Solver.Unknown, _ -> false)
 
-(* BMC over structured random designs: the end-to-end answer must not
-   depend on inprocessing.  The default is process-global, so save and
-   restore it around each arm. *)
-let bmc_with inprocess net depth =
-  let saved = Solver.inprocess_default () in
-  Solver.set_inprocess_default inprocess;
-  Fun.protect ~finally:(fun () -> Solver.set_inprocess_default saved)
-  @@ fun () -> Bmc.check net ~target:"t" ~depth
+(* A reference solver behind the backend seam with the underlying
+   solver exposed, so a test can drive the unroller and still force
+   passes and read the solver's own counters. *)
+let exposed_backend () =
+  let s = Solver.create ~inprocess:true () in
+  let solver =
+    Backend.of_module
+      (module struct
+        let name = "reference"
+        let new_var () = Solver.new_var s
+        let add_clause c = Solver.add_clause s c
 
+        let solve ?assumptions ?max_conflicts ?max_propagations ?max_nodes:_
+            ?should_stop () =
+          match
+            Solver.solve ?assumptions ?max_conflicts ?max_propagations
+              ?should_stop s
+          with
+          | Solver.Sat -> Backend.Sat
+          | Solver.Unsat -> Backend.Unsat
+          | Solver.Unknown -> Backend.Unknown Backend.budget_reason
+
+        let value l = Solver.value s l
+        let set_proof p = Solver.set_proof s p
+        let proof_capable = true
+
+        let stats () =
+          {
+            Backend.zero_stats with
+            Backend.vars = Solver.num_vars s;
+            clauses = Solver.num_clauses s;
+          }
+
+        let set_simplify_wrapper w = Solver.set_simplify_wrapper s w
+        let interrupt () = ()
+      end)
+  in
+  (s, solver)
+
+(* Incremental BMC of target "t" at depths [0 .. depth] on one solver,
+   calling [between] before each depth's solve. *)
+let unrolled_bmc ?(between = ignore) (s, solver) net depth =
+  let unroll = Encode.Unroll.create solver net in
+  let target = List.assoc "t" (Netlist.Net.targets net) in
+  let rec go t =
+    if t > depth then `No_hit depth
+    else begin
+      let tl = Encode.Unroll.lit_at unroll target t in
+      between s;
+      match Backend.solve ~assumptions:[ tl ] solver with
+      | Backend.Sat -> `Hit t
+      | Backend.Unsat -> go (t + 1)
+      | Backend.Unknown _ -> `Unknown
+    end
+  in
+  go 0
+
+(* Passes are paid for by search: a solver whose solves stay short
+   never simplifies, however many clauses or frames it is given; once
+   it has searched past the warmup, passes run on schedule and when new
+   clauses arrive, with its proof intact. *)
+let test_simplify_policy () =
+  let net = Netlist.Net.create () in
+  let enable = Netlist.Net.add_input net "en" in
+  let c = Workload.Gen.counter net ~name:"c" ~bits:4 ~enable in
+  Netlist.Net.add_target net "t" c.Workload.Gen.out;
+  let ((s, _) as exposed) = exposed_backend () in
+  Helpers.check_bool "all-ones unreachable within 10 steps" true
+    (unrolled_bmc exposed net 9 = `No_hit 9);
+  Helpers.check_int "10-depth counter BMC runs no pass" 0
+    (Solver.num_simplifies s);
+  let add_ands s n =
+    for _ = 1 to n do
+      ignore (tseitin_and s)
+    done
+  in
+  let s = Solver.create ~inprocess:true () in
+  for _ = 1 to 5 do
+    add_ands s 300;
+    Helpers.check_bool "sat" true (Solver.solve s = Solver.Sat)
+  done;
+  Helpers.check_bool "short search" true
+    (Solver.num_conflicts s < Solver.simplify_warmup);
+  Helpers.check_int "added clauses trigger no pass" 0 (Solver.num_simplifies s);
+  (* pigeonhole 8 into 7 behind an activation literal: unsat under the
+     assumption, so the solver stays usable after a long search *)
+  let s = Solver.create ~inprocess:true () in
+  let p = Proof.create () in
+  Solver.set_proof s p;
+  let triggers = ref [] in
+  Solver.set_simplify_wrapper s (fun pass ->
+      triggers := Solver.num_conflicts s :: !triggers;
+      pass ());
+  let act = Solver.new_var s in
+  let var = Array.init 8 (fun _ -> Array.init 7 (fun _ -> Solver.new_var s)) in
+  Array.iter
+    (fun row ->
+      Solver.add_clause s
+        (Solver.neg_of act :: Array.to_list (Array.map Solver.pos row)))
+    var;
+  for h = 0 to 6 do
+    for p1 = 0 to 7 do
+      for p2 = p1 + 1 to 7 do
+        Solver.add_clause s
+          [ Solver.neg_of var.(p1).(h); Solver.neg_of var.(p2).(h) ]
+      done
+    done
+  done;
+  Helpers.check_bool "php(8,7) unsat under the assumption" true
+    (Solver.solve ~assumptions:[ Solver.pos act ] s = Solver.Unsat);
+  Helpers.check_bool "a searching solver simplifies" true (!triggers <> []);
+  Helpers.check_bool "every pass after the warmup" true
+    (List.for_all (fun c -> c >= Solver.simplify_warmup) !triggers);
+  (* the first solve settles any pass the conflict schedule still owes;
+     the second, with nothing new, must then run none *)
+  Helpers.check_bool "sat without the assumption" true
+    (Solver.solve s = Solver.Sat);
+  let before = Solver.num_simplifies s in
+  Helpers.check_bool "sat again" true (Solver.solve s = Solver.Sat);
+  Helpers.check_int "nothing new, no pass" before (Solver.num_simplifies s);
+  add_ands s 1000;
+  Helpers.check_bool "sat with new clauses" true (Solver.solve s = Solver.Sat);
+  Helpers.check_bool "new clauses trigger a pass after the warmup" true
+    (Solver.num_simplifies s > before);
+  Solver.add_clause s [ Solver.pos act ];
+  Helpers.check_bool "unsat once the assumption is a unit" true
+    (Solver.solve s = Solver.Unsat);
+  ok_or_fail "drup of simplified run" (Drup.check (Proof.events p))
+
+(* BMC over structured random designs: the end-to-end answer must not
+   depend on inprocessing.  Frames this small never search long enough
+   for a scheduled pass, so the "on" arm drives the unroller itself and
+   forces a pass before every depth; the "off" arm is the production
+   checker on a solver with inprocessing disabled. *)
 let prop_bmc_corpus_equivalence =
   Helpers.qtest ~count:25 "BMC verdicts agree with inprocessing on and off"
     QCheck.(int_bound 1000000)
     (fun seed ->
       let net, _ = Helpers.rand_structured seed in
-      match (bmc_with true net 8, bmc_with false net 8) with
-      | Bmc.Hit a, Bmc.Hit b -> a.Bmc.depth = b.Bmc.depth
-      | Bmc.No_hit a, Bmc.No_hit b -> a = b
+      let ((s, _) as exposed) = exposed_backend () in
+      let on = unrolled_bmc ~between:Solver.simplify_now exposed net 8 in
+      let off =
+        Bmc.check ~backend:(Backend.reference ~inprocess:false ()) net
+          ~target:"t" ~depth:8
+      in
+      Solver.num_simplifies s > 0
+      &&
+      match (on, off) with
+      | `Hit a, Bmc.Hit b -> a = b.Bmc.depth
+      | `No_hit a, Bmc.No_hit b -> a = b
       | _ -> false)
 
 let suite =
@@ -324,6 +460,7 @@ let suite =
       test_chaos_flip_to_unsat_caught;
     Alcotest.test_case "chaos flip-to-sat caught" `Quick
       test_chaos_flip_to_sat_caught;
+    Alcotest.test_case "simplify only after search" `Quick test_simplify_policy;
     prop_verdict_equivalence;
     prop_assumptions_hit_eliminated;
     prop_bmc_corpus_equivalence;

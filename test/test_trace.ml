@@ -248,6 +248,54 @@ let test_per_k_tables () =
   Helpers.check_bool "per-k step table" true
     (contains text "per-k induction step cost")
 
+let test_simplify_span_attrs () =
+  (* pigeonhole 8 into 7 searches well past the warmup: each
+     scheduled pass reads back with the conflict count that triggered
+     it and the clause database it left *)
+  let solver = Backend.instantiate (Backend.reference ~inprocess:true ()) in
+  let var =
+    Array.init 8 (fun _ -> Array.init 7 (fun _ -> Backend.new_var solver))
+  in
+  Array.iter
+    (fun row ->
+      Backend.add_clause solver (Array.to_list (Array.map Backend.pos row)))
+    var;
+  for h = 0 to 6 do
+    for p1 = 0 to 7 do
+      for p2 = p1 + 1 to 7 do
+        Backend.add_clause solver
+          [ Backend.neg_of var.(p1).(h); Backend.neg_of var.(p2).(h) ]
+      done
+    done
+  done;
+  let events =
+    with_tmp (fun path ->
+        Trace.start ~format:Trace.Jsonl path;
+        let r, _ = Encode.Sat_obs.solve solver in
+        Helpers.check_bool "unsat" true (r = Backend.Unsat);
+        Trace.stop ();
+        Trace.read_file path)
+  in
+  let passes =
+    List.filter
+      (fun (e : Trace.event) -> e.Trace.name = "sat.simplify")
+      events
+  in
+  Helpers.check_bool "a pass ran" true (passes <> []);
+  List.iter
+    (fun (e : Trace.event) ->
+      let int k =
+        match List.assoc_opt k e.Trace.args with
+        | Some (Trace.Int n) -> n
+        | _ -> Alcotest.failf "sat.simplify lacks %s" k
+      in
+      Helpers.check_bool "triggered after the warmup" true
+        (int "conflicts" >= Sat.Solver.simplify_warmup);
+      Helpers.check_bool "clause counts" true
+        (int "clauses_before" > 0 && int "clauses_after" >= 0);
+      Helpers.check_bool "eliminated count" true (int "eliminated_vars" >= 0))
+    passes
+
 let test_multi_domain_capture () =
   (* spans emitted from worker domains land in per-domain rings and
      carry a "domain" argument; flush before the domain parks so stop
@@ -423,6 +471,8 @@ let suite =
     Alcotest.test_case "forest self time" `Quick test_forest_self_time;
     Alcotest.test_case "depth table" `Quick test_depth_table;
     Alcotest.test_case "per-k search tables" `Quick test_per_k_tables;
+    Alcotest.test_case "sat.simplify span attributes" `Quick
+      test_simplify_span_attrs;
     Alcotest.test_case "multi-domain capture" `Quick
       test_multi_domain_capture;
     Alcotest.test_case "corr attr attaches under with_corr" `Quick
