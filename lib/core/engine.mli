@@ -5,17 +5,32 @@
     verdict or a recorded reason to move on:
 
     + a shallow BMC probe (cheap bug hunting);
-    + the structural diameter bound on the original netlist
-      (Definition 3 + [7]); if below the cutoff, a BMC run of that
-      depth is a complete proof;
-    + the bound after COM (Theorem 1) and after COM,RET,COM
-      (Theorems 1 and 2), each translated back to the original;
-    + for latch-based designs, the above are computed on the
+    + the {e bound rung}: four completeness-bound candidates, each a
+      bound translated back to the original netlist —
+      - [structural-bound]: the structural diameter bound on the
+        original netlist (Definition 3 + [7]);
+      - [com+bound]: the bound after COM (Theorem 1);
+      - [com-ret-com+bound]: the bound after COM,RET,COM (Theorems 1
+        and 2);
+      - [enlargement+bound]: k-step target enlargement (Theorem 4)
+        when the cone is small enough for BDDs (an empty enlarged
+        target concludes as [enlargement-empty]);
+      for latch-based designs the first three are computed on the
       phase-abstracted netlist and translated through Theorem 3;
-    + k-step target enlargement (Theorem 4) when the cone is small
-      enough for BDDs;
     + the bounded-COI recurrence diameter [6];
     + temporal induction with uniqueness [5].
+
+    The rung discharges the {e tightest} bound first.  It computes the
+    candidates' translated bounds in the fixed order above, and stops
+    computing as soon as a pending bound [b] is below the cutoff with
+    [b - 1 <= probe_depth] (its discharge is no deeper than the probe,
+    so a cheap structural bound never pays for COM).  It then
+    discharges the pending candidates in ascending (bound, fixed
+    order), each by one complete BMC run of depth [b - 1], and
+    resumes computing when every pending one stood down.  The first
+    conclusive discharge is the rung's verdict, named after its
+    candidate; every other candidate records its own stand-down as an
+    attempt, so an [Inconclusive] attempt log names all four.
 
     Every completeness-threshold strategy discharges its final BMC run
     on the {e original} netlist, so counterexamples always replay
@@ -25,13 +40,16 @@
     cross-strategy state.
 
     Every SAT query goes through a pluggable {!Backend}; the ladder is
-    really a grid of (strategy, backend) {e cells}.  With the default
-    single reference backend the grid degenerates to the plain ladder
-    and behaves exactly as documented above; with a [Race] spec each
-    strategy is attempted once per backend, strategy-major (every
-    backend of strategy [i] outranks every cell of strategy [i + 1]),
-    and non-reference cells are named ["<strategy>@<backend>"] in
-    attempts and verdicts. *)
+    really a grid of (strategy, backend) {e cells} — four per backend:
+    the probe, the bound rung, recurrence and induction.  The rung is
+    one cell, so which candidate wins is decided inside it and the
+    sequential ladder and the portfolio agree by construction.  With
+    the default single reference backend the grid degenerates to the
+    plain ladder and behaves exactly as documented above; with a
+    [Race] spec each strategy is attempted once per backend,
+    strategy-major (every backend of strategy [i] outranks every cell
+    of strategy [i + 1]), and non-reference cells and rung candidates
+    are named ["<name>@<backend>"] in attempts and verdicts. *)
 
 type config = {
   cutoff : int;  (** a bound below this is considered BMC-dischargeable *)
@@ -119,31 +137,38 @@ val verify :
     each discharge BMC run that certified a [Proved] verdict — for
     [--proof] style dumping.
 
-    Every strategy is timed into the {!Obs.Stats} span
-    ["engine.<strategy>"], and verdicts bump the
+    Every strategy and every rung candidate is timed into the
+    {!Obs.Stats} span ["engine.<name>"] (a candidate's analysis plus
+    its discharge), and verdicts bump the
     ["engine.proved"/"engine.violated"/"engine.inconclusive"]
-    counters.
+    counters.  Each cell is one trace span ["engine.<cell>"] with an
+    ["outcome"] attribute, a ["bound.<name>"] attribute per translated
+    bound it computed and ["chosen"] naming what concluded; on the
+    rung's span ["engine.bound"] these say why it concluded at the
+    depth it did.
 
-    A [budget] governs the whole ladder: each strategy receives an
-    equal {!Obs.Budget.slice} of the wall-clock remaining when it
-    starts (per-call SAT/BDD allowances pass through unchanged), a
-    strategy that runs out records a {!budget_reason} attempt — with
-    any bound it managed to compute — and the ladder continues; once
-    the overall deadline is gone the remaining strategies stand down
-    immediately.  The slice arithmetic is clamped: an overrunning
+    A [budget] governs the whole ladder.  The deadline is split in
+    ways: one per strategy and one per rung candidate, seven in all
+    per backend.  Each step (a strategy, or a candidate's analysis or
+    discharge) receives an equal {!Obs.Budget.slice} of the wall-clock
+    remaining when it starts, over the ways still open (per-call
+    SAT/BDD allowances pass through unchanged); one that runs out
+    records a {!budget_reason} attempt — with any bound it managed to
+    compute — and the ladder continues; once the overall deadline is
+    gone the remaining strategies stand down immediately.  The slice arithmetic is clamped: an overrunning
     early strategy can squeeze a later one down to an already-expired
     slice, but never make it disappear from the attempt log — a dead
     slice still records its {!budget_reason} attempt.  Budget
     exhaustion is never reported as [Proved] or [Violated], and
     additionally bumps ["engine.budget_exhausted"].
 
-    [bcache] is [(cache, key_prefix)]: each ladder strategy probes
-    [key_prefix ^ strategy] for a previously certified completeness
-    bound and, on a hit, skips its analysis and discharges the cached
-    bound directly (BMC run and certification repeated in full, so a
-    seeded ladder can only conclude what a fresh one would); when a
-    strategy's certified [Proved] carries a bound, it is stored back
-    under the same key.  Callers normally reach this through
+    [bcache] is [(cache, key_prefix)]: each ladder strategy and rung
+    candidate probes [key_prefix ^ name] for a previously certified
+    completeness bound and, on a hit, skips its analysis and
+    discharges the cached bound directly (BMC run and certification
+    repeated in full, so a seeded ladder can only conclude what a
+    fresh one would); when the winner's certified [Proved] carries a
+    bound, it is stored back under the winner's key.  Callers normally reach this through
     {!verify_cached} rather than directly. *)
 
 val verify_portfolio :

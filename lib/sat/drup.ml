@@ -20,13 +20,30 @@ type clause = {
   mutable active : bool;
 }
 
+(* Deletion index keyed on the canonical (strictly increasing) literal
+   array itself: proof events are canonical already, so no per-clause
+   list or polymorphic hash is built. *)
+module Index = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
+
+  let hash (a : t) =
+    Array.fold_left (fun h l -> (h * 31) + l) (Array.length a) a land max_int
+end)
+
 type t = {
   mutable nvars : int;
   mutable assigns : int array; (* var -> -1 unassigned / 0 false / 1 true *)
   mutable watches : clause Vec.t array; (* per literal *)
   trail : int Vec.t;
   mutable qhead : int;
-  index : (int list, clause list ref) Hashtbl.t; (* for deletions *)
+  index : clause list ref Index.t; (* for deletions *)
   mutable root_conflict : bool;
   mutable clauses : int; (* live clause count, for reporting *)
 }
@@ -40,7 +57,7 @@ let create () =
     watches = [||];
     trail = Vec.create ~dummy:0 ();
     qhead = 0;
-    index = Hashtbl.create 256;
+    index = Index.create 256;
     root_conflict = false;
     clauses = 0;
   }
@@ -145,15 +162,19 @@ let undo_to t mark =
   Vec.shrink t.trail mark;
   t.qhead <- mark
 
+(* the canonical form of a clause; only inputs from outside the proof
+   log (e.g. [check_cnf]'s) need sorting *)
 let key lits =
-  let l = Array.to_list lits in
-  List.sort_uniq compare l
+  let n = Array.length lits in
+  let rec increasing i = i >= n || (lits.(i - 1) < lits.(i) && increasing (i + 1)) in
+  if increasing 1 then lits else Proof.canon lits
 
 (* insert a clause (already RUP-checked or an axiom) into the store,
    folding it into the root assignment when unit or empty *)
 let insert t lits =
   Array.iter (fun l -> ensure_var t (var_of l)) lits;
   if not t.root_conflict then begin
+    let k = key lits in
     (* a literal already true at root satisfies the clause, but it must
        stay watchable in case a temporary probe is undone; put a
        non-false literal (preferring a true one) in each watch slot *)
@@ -190,16 +211,15 @@ let insert t lits =
         Vec.push t.watches.(lits.(0)) c;
         Vec.push t.watches.(lits.(1)) c;
         t.clauses <- t.clauses + 1;
-        let k = key lits in
-        match Hashtbl.find_opt t.index k with
+        match Index.find_opt t.index k with
         | Some r -> r := c :: !r
-        | None -> Hashtbl.add t.index k (ref [ c ])
+        | None -> Index.add t.index k (ref [ c ])
       end
     end
   end
 
 let delete t lits =
-  match Hashtbl.find_opt t.index (key lits) with
+  match Index.find_opt t.index (key lits) with
   | Some ({ contents = c :: rest } as r) ->
     c.active <- false;
     t.clauses <- t.clauses - 1;

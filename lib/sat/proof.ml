@@ -23,7 +23,7 @@ let create () = { events = []; n_inputs = 0; n_adds = 0; n_deletes = 0 }
    copy at log time; sorting makes add/delete pairs match up. *)
 let canon lits =
   let a = Array.copy lits in
-  Array.sort compare a;
+  Array.sort Int.compare a;
   let n = Array.length a in
   let j = ref 0 in
   for i = 0 to n - 1 do

@@ -18,6 +18,10 @@ type event =
 
 type t
 
+val canon : int array -> int array
+(** A fresh sorted, deduplicated copy of a clause: the form every
+    logged event carries. *)
+
 val create : unit -> t
 val log_input : t -> int array -> unit
 val log_add : t -> int array -> unit

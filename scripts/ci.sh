@@ -187,6 +187,17 @@ timeout 300 python3 perfbench/run.py --workload bmc-deep --seed 2 --seconds 5 \
        echo "ci: bmc-deep verdicts or counters wrong (FAIL)"; exit 1; }
 echo "ci: held-out bmc-deep check ok"
 
+# Fuzz smoke: a fixed-seed campaign on a healthy build must report
+# zero findings — each design runs through the differential oracle
+# matrix (ladder / no-inprocessing / portfolio / expired budget), so
+# a single finding here is a real engine bug, and the campaign exits 1.
+timeout 600 dune exec bin/diam_tool.exe -- fuzz --count 20 --seed 1 \
+  > "$tmpdir/fuzz.out" \
+  || { cat "$tmpdir/fuzz.out"; echo "ci: fuzz campaign found bugs (FAIL)"; exit 1; }
+grep -q "fuzz: 20 cases, 0 findings" "$tmpdir/fuzz.out" \
+  || { cat "$tmpdir/fuzz.out"; echo "ci: fuzz summary malformed (FAIL)"; exit 1; }
+echo "ci: fuzz smoke ok"
+
 # BMC inprocessing gate: run the BMC bench workload (inprocessing on
 # vs off per design) against the committed snapshot.  The threshold is
 # generous — CI machines vary — but a gross slowdown in the solver hot
@@ -253,17 +264,6 @@ grep -q "REGRESSION" "$tmpdir/corpus.out" \
 grep -q '"corpus.files"' "$tmpdir/corpus.json" \
   || { echo "ci: corpus tallies missing from snapshot (FAIL)"; exit 1; }
 echo "ci: corpus snapshot gate ok"
-
-# Fuzz smoke: a fixed-seed campaign on a healthy build must report
-# zero findings — each design runs through the differential oracle
-# matrix (ladder / no-inprocessing / portfolio / expired budget), so
-# a single finding here is a real engine bug, and the campaign exits 1.
-timeout 600 dune exec bin/diam_tool.exe -- fuzz --count 20 --seed 1 \
-  > "$tmpdir/fuzz.out" \
-  || { cat "$tmpdir/fuzz.out"; echo "ci: fuzz campaign found bugs (FAIL)"; exit 1; }
-grep -q "fuzz: 20 cases, 0 findings" "$tmpdir/fuzz.out" \
-  || { cat "$tmpdir/fuzz.out"; echo "ci: fuzz summary malformed (FAIL)"; exit 1; }
-echo "ci: fuzz smoke ok"
 
 # Repro replay: minimal netlists shrunk from past chaos findings are
 # committed under test/repros/; every one must still parse and verify

@@ -63,9 +63,59 @@ let test_inconclusive_records_attempts () =
   in
   match Core.Engine.verify ~config net ~target:"t" with
   | Core.Engine.Inconclusive { attempts } ->
-    Helpers.check_bool "several strategies tried" true (List.length attempts >= 5)
+    Helpers.check_bool "several strategies tried" true (List.length attempts >= 5);
+    List.iter
+      (fun name ->
+        Helpers.check_bool (name ^ " recorded") true
+          (List.exists
+             (fun (a : Core.Engine.attempt) -> String.equal a.strategy name)
+             attempts))
+      [ "structural-bound"; "com+bound"; "com-ret-com+bound"; "enlargement+bound" ]
   | Core.Engine.Proved _ -> Alcotest.fail "budgets too small to prove"
   | Core.Engine.Violated _ -> Alcotest.fail "needs 2^10 steps to hit"
+
+let span_calls name =
+  match List.assoc_opt name (Obs.Stats.snapshot ()).Obs.Stats.spans with
+  | Some s -> s.Obs.Stats.calls
+  | None -> 0
+
+let test_tightest_bound_first () =
+  (* the structural bound of this bred design is 48, under the cutoff,
+     but COM,RET,COM shows depth 0 is enough: the rung discharges the
+     tighter bound and never runs the 48-deep BMC *)
+  let case = Workload.Fuzz.case ~seed:1 26 in
+  let net = case.Workload.Fuzz.net in
+  Obs.Stats.reset ();
+  let seq = Core.Engine.verify net ~target:"t0" in
+  let solves = span_calls "bmc.solve" in
+  let par = Core.Engine.verify_portfolio ~jobs:2 net ~target:"t0" in
+  (match seq with
+  | Core.Engine.Proved { strategy; depth } ->
+    Helpers.check Alcotest.string "tightest candidate" "com-ret-com+bound"
+      strategy;
+    Helpers.check_int "discharged at depth 0" 0 depth
+  | v -> Alcotest.fail (Format.asprintf "unexpected: %a" Core.Engine.pp_verdict v));
+  Helpers.check Alcotest.string "portfolio picks the same candidate"
+    (Campaign.Oracle.verdict_brief seq)
+    (Campaign.Oracle.verdict_brief par);
+  Helpers.check_bool "probe plus one discharge depth" true
+    (solves <= Core.Engine.default.Core.Engine.probe_depth + 2)
+
+let test_cheap_structural_skips_com () =
+  (* a structural bound within the probe's depth is discharged at once:
+     no transformation pipeline runs *)
+  let net = Net.create () in
+  let a = Net.add_input net "a" in
+  let p = Workload.Gen.pipeline net ~name:"p" ~stages:3 ~data:a in
+  Net.add_target net "t" (Net.add_and net p.Workload.Gen.out (Lit.neg p.Workload.Gen.out));
+  Obs.Stats.reset ();
+  (match Core.Engine.verify net ~target:"t" with
+  | Core.Engine.Proved { strategy; _ } ->
+    Helpers.check Alcotest.string "structural bound concluded"
+      "structural-bound" strategy
+  | v -> Alcotest.fail (Format.asprintf "unexpected: %a" Core.Engine.pp_verdict v));
+  Helpers.check_int "no COM pass" 0 (span_calls "pipeline.com");
+  Helpers.check_int "no COM,RET,COM pass" 0 (span_calls "pipeline.com-ret-com")
 
 let test_discharge_depth () =
   (* regression: a bound of 0 used to be discharged by a depth -1 BMC
@@ -139,6 +189,9 @@ let suite =
     Alcotest.test_case "RET gadget strategy" `Quick test_ret_gadget_needs_transformations;
     Alcotest.test_case "latch design" `Quick test_latch_design;
     Alcotest.test_case "inconclusive attempts" `Quick test_inconclusive_records_attempts;
+    Alcotest.test_case "tightest bound first" `Quick test_tightest_bound_first;
+    Alcotest.test_case "cheap structural bound skips COM" `Quick
+      test_cheap_structural_skips_com;
     Alcotest.test_case "discharge depth" `Quick test_discharge_depth;
     Alcotest.test_case "empty enlargement at k=0" `Quick
       test_empty_enlargement_at_k0;
